@@ -1,5 +1,5 @@
 // Command s2bench regenerates the paper's evaluation figures (§5,
-// Figures 4–10) plus Figure 11, this implementation's multi-core/batching
+// Figures 4–10) plus Figure 11, this implementation's multi-core pool-size
 // sweep, and prints the measured series as tables.
 //
 // Usage:
@@ -43,7 +43,7 @@ var figures = map[int]struct {
 	8:  {"prefix sharding on/off across FatTree sizes", experiments.Figure8},
 	9:  {"shard-count sweep on one FatTree", experiments.Figure9},
 	10: {"DPV: all-pair vs single-pair, Batfish vs S2", experiments.Figure10},
-	11: {"multi-core: pool-size sweep × batched pulls on/off", experiments.Figure11},
+	11: {"multi-core: pool-size sweep × GC collector", experiments.Figure11},
 }
 
 // printGCSummary prints a per-variant BDD GC pause digest for rows whose

@@ -196,7 +196,7 @@ func main() {
 	// SIGINT/SIGTERM shut down cleanly (Close tears down workers).
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	go func() {
 		<-stop
 		logger.Info("shutting down")

@@ -71,13 +71,6 @@ type Options struct {
 	// reproduces the single-threaded results byte-for-byte. Propagated to
 	// every worker via SetupRequest.
 	Parallelism int
-	// DisableBatchPulls turns off cross-worker pull coalescing: shadow-node
-	// pulls go back to one RPC per (node, neighbor) pair as before.
-	DisableBatchPulls bool
-	// DisableWireDedup turns off the shared-substrate wire codec for
-	// boundary-crossing packets and outcome harvests: every packet goes
-	// back to an independently serialized BDD as before.
-	DisableWireDedup bool
 	// DisableQuerySlicing turns off intent-based slicing: every query pass
 	// involves every worker instead of only the workers whose nodes the
 	// query's sources can possibly reach within its hop budget.
@@ -216,27 +209,24 @@ type Controller struct {
 
 	// flight is the controller's always-on flight recorder (see harvest.go
 	// for the distributed-trace plumbing it accompanies). skewMu guards the
-	// per-client clock-offset estimators and the legacy-peer memo below;
-	// harvestStop/harvestWG manage the background span harvester.
+	// per-client clock-offset estimators; harvestStop/harvestWG manage the
+	// background span harvester.
 	flight      *obs.FlightRecorder
 	skewMu      sync.Mutex
 	skews       map[*sidecar.RemoteWorker]*obs.SkewEstimator
-	noPullSpans map[*sidecar.RemoteWorker]bool
 	harvestStop chan struct{}
 	harvestWG   sync.WaitGroup
 
 	// Fleet health plane (fleet.go): the metric/vitals time-series ring,
 	// the harvested-profile store, the latest per-worker vitals, and the
-	// per-worker straggler scores. noPullStats memoizes workers that
-	// predate the PullStats RPC (guarded by skewMu like noPullSpans);
-	// statsStop/statsWG manage the background vitals sampler.
+	// per-worker straggler scores. statsStop/statsWG manage the background
+	// vitals sampler.
 	history     *obs.History
 	profiles    *obs.ProfileStore
 	fleetMu     sync.Mutex
 	fleetVitals map[int]fleetVital
 	stragglers  map[int]float64
 	lastSkew    map[string]float64
-	noPullStats map[*sidecar.RemoteWorker]bool
 	statsStop   chan struct{}
 	statsWG     sync.WaitGroup
 
@@ -300,20 +290,18 @@ func NewController(snap *config.Snapshot, texts map[string]string, opts Options)
 	}
 	layout := dataplane.Layout{MetaBits: opts.MetaBits}
 	c := &Controller{
-		snap:        snap,
-		net:         net,
-		opts:        opts,
-		texts:       texts,
-		engine:      layout.NewEngine(0),
-		layout:      layout,
-		timer:       metrics.NewPhaseTimer(),
-		faults:      metrics.NewFaultCounters(),
-		flight:      obs.NewFlightRecorder(0),
-		skews:       map[*sidecar.RemoteWorker]*obs.SkewEstimator{},
-		noPullSpans: map[*sidecar.RemoteWorker]bool{},
-		noPullStats: map[*sidecar.RemoteWorker]bool{},
-		history:     obs.NewHistory(opts.HistorySamples),
-		profiles:    obs.NewProfileStore(opts.ProfileCapacity),
+		snap:     snap,
+		net:      net,
+		opts:     opts,
+		texts:    texts,
+		engine:   layout.NewEngine(0),
+		layout:   layout,
+		timer:    metrics.NewPhaseTimer(),
+		faults:   metrics.NewFaultCounters(),
+		flight:   obs.NewFlightRecorder(0),
+		skews:    map[*sidecar.RemoteWorker]*obs.SkewEstimator{},
+		history:  obs.NewHistory(opts.HistorySamples),
+		profiles: obs.NewProfileStore(opts.ProfileCapacity),
 	}
 	c.initObs()
 	return c, nil
@@ -529,24 +517,23 @@ func (c *Controller) configureBody() error {
 		}
 		err = c.each(func(id int, w sidecar.WorkerAPI) error {
 			req := sidecar.SetupRequest{
-				WorkerID:          id,
-				Assignment:        c.assignment.Of,
-				Configs:           map[string]string{},
-				Adjacencies:       map[string][]topology.Adjacency{},
-				Sessions:          map[string][]topology.BGPSession{},
-				MetaBits:          c.opts.MetaBits,
-				MaxBDDNodes:       c.opts.MaxBDDNodes,
-				MemoryBudget:      c.opts.MemoryBudget,
-				PeerAddrs:         addrs,
-				SpillDir:          c.opts.SpillDir,
-				KeepRIBs:          c.opts.KeepRIBs,
-				RPCTimeout:        c.opts.RPCTimeout,
-				RPCRetries:        c.opts.RPCRetries,
-				Parallelism:       procs,
-				DisableBatchPulls: c.opts.DisableBatchPulls,
-				DisableWireDedup:  c.opts.DisableWireDedup,
-				GCStress:          c.opts.GCStress,
-				GCWipe:            c.opts.GCWipe,
+				Protocol:     sidecar.ProtocolVersion,
+				WorkerID:     id,
+				Assignment:   c.assignment.Of,
+				Configs:      map[string]string{},
+				Adjacencies:  map[string][]topology.Adjacency{},
+				Sessions:     map[string][]topology.BGPSession{},
+				MetaBits:     c.opts.MetaBits,
+				MaxBDDNodes:  c.opts.MaxBDDNodes,
+				MemoryBudget: c.opts.MemoryBudget,
+				PeerAddrs:    addrs,
+				SpillDir:     c.opts.SpillDir,
+				KeepRIBs:     c.opts.KeepRIBs,
+				RPCTimeout:   c.opts.RPCTimeout,
+				RPCRetries:   c.opts.RPCRetries,
+				Parallelism:  procs,
+				GCStress:     c.opts.GCStress,
+				GCWipe:       c.opts.GCWipe,
 			}
 			for _, name := range c.assignment.Segment(id) {
 				req.Configs[name+".cfg"] = c.texts[name]
@@ -1206,11 +1193,6 @@ func (c *Controller) RunQuery(q *dataplane.Query, constrainSrc bool) (*dataplane
 // the one a solo RunQuery of that query would have produced (tags keep the
 // packets in distinct wavefront slots; canonical BDD serialization makes
 // the per-query harvests independent of their co-travellers).
-//
-// A batch of one takes the legacy single-query arming RPC — older workers
-// that predate BeginQueryBatch keep answering solo queries; multi-query
-// batches against such a fleet fail with errLegacyNoBatch, which the query
-// scheduler turns into a sequential fallback.
 func (c *Controller) RunQueryBatch(qs []*dataplane.Query, constrainSrc bool) ([]*dataplane.Collector, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("core: controller is closed")
@@ -1280,28 +1262,17 @@ func (c *Controller) forwardQueryBatch(qs []*dataplane.Query, sources [][]string
 		return err
 	}
 
-	if len(qs) == 1 {
-		if err := c.eachSubset(ids, func(_ int, w sidecar.WorkerAPI) error {
-			return w.BeginQuery(sidecar.QueryRequest{Query: *qs[0]})
-		}); err != nil {
-			return err
-		}
-	} else {
-		reqQs := make([]dataplane.Query, len(qs))
-		for i, q := range qs {
-			reqQs[i] = *q
-		}
-		if err := c.eachSubset(ids, func(_ int, w sidecar.WorkerAPI) error {
-			return w.BeginQueryBatch(sidecar.QueryBatchRequest{Queries: reqQs})
-		}); err != nil {
-			if isNoBatchErr(err) {
-				return errLegacyNoBatch
-			}
-			return err
-		}
+	reqQs := make([]dataplane.Query, len(qs))
+	for i, q := range qs {
+		reqQs[i] = *q
 	}
-	// Count the pass only once arming succeeded: an aborted legacy-fleet
-	// attempt never injects, so it is not an injection phase.
+	if err := c.eachSubset(ids, func(_ int, w sidecar.WorkerAPI) error {
+		return w.BeginQueryBatch(sidecar.QueryBatchRequest{Queries: reqQs})
+	}); err != nil {
+		return err
+	}
+	// Count the pass only once arming succeeded: an attempt that failed to
+	// arm never injects, so it is not an injection phase.
 	c.observeQueryPass(len(qs), ids)
 
 	for i, q := range qs {
@@ -1388,8 +1359,8 @@ func (c *Controller) forwardQueryBatch(qs []*dataplane.Query, sources [][]string
 	}); err != nil {
 		return err
 	}
-	// Decode per worker (set-encoded harvests materialize their shared
-	// substrate once), then absorb per query in a global deterministic
+	// Decode per worker (each harvest materializes its shared substrate
+	// once), then absorb per query in a global deterministic
 	// order. With more than one query in flight each outcome's source
 	// carries its query tag: split on it, strip it, and route the outcome
 	// to its own collector.
@@ -1413,24 +1384,12 @@ func (c *Controller) forwardQueryBatch(qs []*dataplane.Query, sources [][]string
 	}
 	for _, id := range workerIDs {
 		batch := batches[id]
-		if len(batch.Wire) > 0 {
-			outs, err := dataplane.DecodeOutcomes(c.engine, batch.Wire, batch.Outcomes)
-			if err != nil {
-				return fmt.Errorf("core: harvest from worker %d: %w", id, err)
-			}
-			for _, o := range outs {
-				if err := route(id, o); err != nil {
-					return err
-				}
-			}
-			continue
+		outs, err := dataplane.DecodeOutcomes(c.engine, batch.Wire, batch.Outcomes)
+		if err != nil {
+			return fmt.Errorf("core: harvest from worker %d: %w", id, err)
 		}
-		for _, o := range batch.Outcomes {
-			pkt, err := c.engine.Deserialize(o.Packet)
-			if err != nil {
-				return fmt.Errorf("core: harvest from worker %d: outcome %s@%s: %w", id, o.Source, o.Node, err)
-			}
-			if err := route(id, dataplane.Outcome{Source: o.Source, Node: o.Node, State: o.State, Packet: pkt}); err != nil {
+		for _, o := range outs {
+			if err := route(id, o); err != nil {
 				return err
 			}
 		}

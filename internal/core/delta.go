@@ -233,10 +233,6 @@ func (c *Controller) deltaDP(newSnap *config.Snapshot, newTexts map[string]strin
 		return err
 	}
 	if err := c.pushDelta(changedNames(diff), nil); err != nil {
-		if isNoBatchErr(err) { // legacy worker without ApplyDelta: go full
-			res.Mode = "full"
-			return c.deltaFull(newSnap, newTexts, res)
-		}
 		c.dpDone = false
 		return err
 	}
@@ -299,10 +295,6 @@ func (c *Controller) deltaShards(newSnap *config.Snapshot, newTexts map[string]s
 	}
 
 	if err := c.pushDelta(changedNames(diff), purge); err != nil {
-		if isNoBatchErr(err) { // legacy worker without ApplyDelta: go full
-			res.Mode = "full"
-			return c.deltaFull(newSnap, newTexts, res)
-		}
 		// Models and purges may be half-applied; force a clean re-Setup
 		// before anything else trusts the resident state.
 		c.setupDone, c.cpDone, c.dpDone = false, false, false

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"s2/internal/fault"
+	"s2/internal/metrics"
 	"s2/internal/sidecar"
 )
 
@@ -225,6 +228,67 @@ func startRemoteWorkers(t *testing.T, n int) ([]string, []*sidecar.Server) {
 	return addrs, servers
 }
 
+// TestProtocolMismatchFailsSetup: a Setup stamped with another protocol
+// version — a controller from a different build — must fail over real TCP
+// with a typed *sidecar.ProtocolError naming both versions, must be fatal
+// (never retried, even under a retrying policy), and must not reach the
+// worker.
+func TestProtocolMismatchFailsSetup(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := sidecar.NewServer(NewWorker())
+	var mu sync.Mutex
+	served := map[string]int{}
+	srv.SetRPCHook(func(method string) func(error) {
+		mu.Lock()
+		served[method]++
+		mu.Unlock()
+		return func(error) {}
+	})
+	go srv.Serve(lis)
+	t.Cleanup(func() { srv.Shutdown(0) })
+
+	faults := metrics.NewFaultCounters()
+	caller := fault.NewCaller(fault.Policy{Timeout: 5 * time.Second, Retries: 3}, faults)
+	rw, err := sidecar.DialWrapped(lis.Addr().String(), time.Second, caller.Wrap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+
+	foreign := sidecar.ProtocolVersion + 1
+	err = rw.Setup(sidecar.SetupRequest{Protocol: foreign, WorkerID: 0})
+	var pe *sidecar.ProtocolError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Setup with protocol v%d: want *sidecar.ProtocolError, got %T %v", foreign, err, err)
+	}
+	if pe.Controller != foreign || pe.Worker != sidecar.ProtocolVersion {
+		t.Errorf("ProtocolError = %+v, want controller v%d, worker v%d", pe, foreign, sidecar.ProtocolVersion)
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("v%d", foreign)) || !strings.Contains(msg, fmt.Sprintf("v%d", sidecar.ProtocolVersion)) {
+		t.Errorf("error %q does not name both versions", msg)
+	}
+	if fault.IsTransient(err) {
+		t.Error("a protocol mismatch must be fatal, not transient")
+	}
+	mu.Lock()
+	setups := served["Setup"]
+	mu.Unlock()
+	if setups != 1 {
+		t.Errorf("server saw %d Setup calls, want exactly 1 (no retries)", setups)
+	}
+	if n := faults.Get("rpc.retries"); n != 0 {
+		t.Errorf("caller retried a protocol mismatch %d times", n)
+	}
+
+	// The same connection still works for a matching build.
+	if err := rw.Setup(sidecar.SetupRequest{Protocol: sidecar.ProtocolVersion, WorkerID: 0}); err != nil {
+		t.Fatalf("Setup with the matching protocol: %v", err)
+	}
+}
+
 // TestRemoteWorkerKilledMidRun kills a real TCP worker's server in the
 // middle of the BGP phase. Without recovery the run fails with a typed
 // transient error; with recovery it completes and matches an in-process
@@ -320,23 +384,24 @@ func TestRPCDeadlinesBoundAllCalls(t *testing.T) {
 	defer rw.Close()
 
 	calls := map[string]func() error{
-		"Ping":       rw.Ping,
-		"Setup":      func() error { return rw.Setup(sidecar.SetupRequest{}) },
-		"BeginShard": func() error { return rw.BeginShard(sidecar.BeginShardRequest{}) },
-		"GatherBGP":  rw.GatherBGP,
-		"ApplyBGP":   func() error { _, err := rw.ApplyBGP(); return err },
-		"GatherOSPF": rw.GatherOSPF,
-		"ApplyOSPF":  func() error { _, err := rw.ApplyOSPF(); return err },
-		"EndShard":   func() error { _, err := rw.EndShard(); return err },
-		"PullBGP":    func() error { _, _, _, err := rw.PullBGP("a", "b", 0, false); return err },
-		"PullLSAs":   func() error { _, _, _, err := rw.PullLSAs("a", "b", 0, false); return err },
-		"ComputeDP":  func() error { _, err := rw.ComputeDP(); return err },
-		"BeginQuery": func() error { return rw.BeginQuery(sidecar.QueryRequest{}) },
-		"Inject":     func() error { return rw.Inject(sidecar.InjectRequest{}) },
-		"DPRound":    rw.DPRound,
-		"HasWork":    func() error { _, err := rw.HasWork(); return err },
-		"DeliverPackets": func() error {
-			return rw.DeliverPackets([]sidecar.PacketDelivery{})
+		"Ping":             rw.Ping,
+		"Setup":            func() error { return rw.Setup(sidecar.SetupRequest{}) },
+		"BeginShard":       func() error { return rw.BeginShard(sidecar.BeginShardRequest{}) },
+		"GatherBGP":        rw.GatherBGP,
+		"ApplyBGP":         func() error { _, err := rw.ApplyBGP(); return err },
+		"GatherOSPF":       rw.GatherOSPF,
+		"ApplyOSPF":        func() error { _, err := rw.ApplyOSPF(); return err },
+		"EndShard":         func() error { _, err := rw.EndShard(); return err },
+		"PullBGPBatchWire": func() error { _, err := rw.PullBGPBatchWire(nil); return err },
+		"PullLSABatchWire": func() error { _, err := rw.PullLSABatchWire(nil); return err },
+		"ComputeDP":        func() error { _, err := rw.ComputeDP(); return err },
+		"BeginQueryBatch":  func() error { return rw.BeginQueryBatch(sidecar.QueryBatchRequest{}) },
+		"Inject":           func() error { return rw.Inject(sidecar.InjectRequest{}) },
+		"DPRound":          rw.DPRound,
+		"HasWork":          func() error { _, err := rw.HasWork(); return err },
+		"DeliverBatch": func() error {
+			_, err := rw.DeliverBatch(sidecar.DeliverBatchRequest{})
+			return err
 		},
 		"FinishQuery": func() error { _, err := rw.FinishQuery(); return err },
 		"CollectRIBs": func() error { _, err := rw.CollectRIBs(); return err },

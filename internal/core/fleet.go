@@ -125,18 +125,6 @@ func (c *Controller) StragglerScores() map[int]float64 {
 	return out
 }
 
-func (c *Controller) lacksPullStats(client *sidecar.RemoteWorker) bool {
-	c.skewMu.Lock()
-	defer c.skewMu.Unlock()
-	return c.noPullStats[client]
-}
-
-func (c *Controller) markNoPullStats(client *sidecar.RemoteWorker) {
-	c.skewMu.Lock()
-	c.noPullStats[client] = true
-	c.skewMu.Unlock()
-}
-
 // startStatsSampler launches the background vitals loop when the history
 // ring is enabled. It rides the heartbeat cadence unless HistoryInterval
 // overrides it, and additionally drives the periodic heap-profile harvest
@@ -215,16 +203,9 @@ func (c *Controller) sampleFleet() {
 		if i < len(clients) {
 			client = clients[i]
 		}
-		if client != nil && c.lacksPullStats(client) {
-			continue
-		}
 		sent := time.Now()
 		reply, err := w.PullStats(sidecar.PullStatsRequest{})
 		if err != nil {
-			if client != nil && isNoBatchErr(err) {
-				// Older worker binary: remember and stop asking.
-				c.markNoPullStats(client)
-			}
 			continue
 		}
 		if client != nil {

@@ -133,22 +133,21 @@ func checkFingerprint(c *Controller, res *AllPairsResult) string {
 }
 
 // TestParallelRunIsByteIdentical is the determinism contract for the
-// multi-core hot path: a run with per-worker goroutine pools and batched
-// cross-worker pulls must produce byte-identical RIBs and verification
-// outcomes to the sequential, per-pull configuration it replaced. FIB
-// equality is observed through the all-pairs symbolic traversal: every
-// forwarding entry participates in the outcome sets the fingerprints
-// cover.
+// multi-core hot path: a 3-worker run with per-worker goroutine pools and
+// batched cross-worker pulls must produce byte-identical RIBs and
+// verification outcomes to a single sequential worker, which has no
+// cross-worker transport at all. FIB equality is observed through the
+// all-pairs symbolic traversal: every forwarding entry participates in the
+// outcome sets the fingerprints cover.
 func TestParallelRunIsByteIdentical(t *testing.T) {
-	run := func(procs int, noBatch bool, shards int) (string, string) {
+	run := func(workers, procs, shards int) (string, string) {
 		snap, texts := fatTreeSnap(t, 4)
 		c := newS2(t, snap, texts, Options{
-			Workers:           3,
-			Shards:            shards,
-			Seed:              1,
-			KeepRIBs:          true,
-			Parallelism:       procs,
-			DisableBatchPulls: noBatch,
+			Workers:     workers,
+			Shards:      shards,
+			Seed:        1,
+			KeepRIBs:    true,
+			Parallelism: procs,
 		})
 		defer c.Close()
 		res := runFull(t, c)
@@ -160,13 +159,13 @@ func TestParallelRunIsByteIdentical(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2} {
-		seqRIBs, seqCheck := run(1, true, shards)
+		seqRIBs, seqCheck := run(1, 1, shards)
 		if !strings.Contains(seqRIBs, "node edge-0-0") || !strings.Contains(seqRIBs, "/") {
-			t.Fatalf("shards=%d: sequential fingerprint looks empty:\n%.200s", shards, seqRIBs)
+			t.Fatalf("shards=%d: single-worker fingerprint looks empty:\n%.200s", shards, seqRIBs)
 		}
-		parRIBs, parCheck := run(8, false, shards)
+		parRIBs, parCheck := run(3, 8, shards)
 		if seqRIBs != parRIBs {
-			t.Errorf("shards=%d: RIBs differ between procs=1 (batch off) and procs=8 (batch on)", shards)
+			t.Errorf("shards=%d: RIBs differ between 1 worker at procs=1 and 3 workers at procs=8", shards)
 		}
 		if seqCheck != parCheck {
 			t.Errorf("shards=%d: verification outcomes differ:\nseq:\n%s\npar:\n%s", shards, seqCheck, parCheck)

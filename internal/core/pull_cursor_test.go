@@ -66,7 +66,7 @@ func pullCursorWorker(t *testing.T) (*Worker, string, string) {
 		}
 		for exporter := range w.bgpProcs {
 			for _, dest := range w.adjIndex[exporter] {
-				advs, _, fresh, err := w.PullBGP(exporter, dest.Node, 0, false)
+				advs, _, fresh, err := w.pullBGP(exporter, dest.Node, 0, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,7 +86,7 @@ func pullCursorWorker(t *testing.T) (*Worker, string, string) {
 func TestPullBGPCursorSemantics(t *testing.T) {
 	w, exporter, puller := pullCursorWorker(t)
 
-	advs, ver, fresh, err := w.PullBGP(exporter, puller, 0, false)
+	advs, ver, fresh, err := w.pullBGP(exporter, puller, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 	}
 
 	// Up-to-date cursor: nothing changed, so no payload and no freshness.
-	got, ver2, fresh2, err := w.PullBGP(exporter, puller, ver, true)
+	got, ver2, fresh2, err := w.pullBGP(exporter, puller, ver, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 
 	// seen=false means the puller lost its state (shard reset, worker
 	// recovery): the exporter must re-send even at the current version.
-	got, _, fresh3, err := w.PullBGP(exporter, puller, ver, false)
+	got, _, fresh3, err := w.pullBGP(exporter, puller, ver, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 	}
 
 	// A stale cursor (older version) re-exports too.
-	got, _, fresh4, err := w.PullBGP(exporter, puller, ver-1, true)
+	got, _, fresh4, err := w.pullBGP(exporter, puller, ver-1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +122,17 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 		t.Fatalf("stale-cursor pull: fresh=%v advs=%d, want full re-export of %d", fresh4, len(got), len(advs))
 	}
 
-	if _, _, _, err := w.PullBGP("no-such-node", puller, 0, false); err == nil {
+	if _, _, _, err := w.pullBGP("no-such-node", puller, 0, false); err == nil {
 		t.Fatal("pull from a non-hosted exporter must error")
 	}
 }
 
 // TestPullBGPBatchMatchesSingles pins the batch RPC's contract: each
-// entry is served exactly like the equivalent individual PullBGP, in
+// entry is served exactly like the equivalent individual pullBGP, in
 // request order, including the cursor semantics.
 func TestPullBGPBatchMatchesSingles(t *testing.T) {
 	w, exporter, puller := pullCursorWorker(t)
-	advs, ver, _, err := w.PullBGP(exporter, puller, 0, false)
+	advs, ver, _, err := w.pullBGP(exporter, puller, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPullBGPBatchMatchesSingles(t *testing.T) {
 		{Exporter: exporter, Puller: puller, Since: ver, Seen: true},
 		{Exporter: exporter, Puller: puller, Since: ver - 1, Seen: true},
 	}
-	replies, err := w.PullBGPBatch(reqs)
+	replies, err := w.PullBGPBatchWire(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPullBGPBatchMatchesSingles(t *testing.T) {
 	if !replies[2].Fresh || len(replies[2].Advs) != len(advs) {
 		t.Fatalf("batch[2] should re-export for the stale cursor")
 	}
-	if _, err := w.PullBGPBatch([]sidecar.PullBGPRequest{{Exporter: "no-such-node", Puller: puller}}); err == nil {
+	if _, err := w.PullBGPBatchWire([]sidecar.PullBGPRequest{{Exporter: "no-such-node", Puller: puller}}); err == nil {
 		t.Fatal("batch with a non-hosted exporter must error")
 	}
 }
@@ -196,7 +196,7 @@ func TestPullBGPConcurrentPullers(t *testing.T) {
 				var nv uint64
 				var fresh bool
 				if i%3 == 2 {
-					replies, err := w.PullBGPBatch([]sidecar.PullBGPRequest{
+					replies, err := w.PullBGPBatchWire([]sidecar.PullBGPRequest{
 						{Exporter: exporter, Puller: puller, Since: ver, Seen: seen},
 					})
 					if err != nil {
@@ -205,7 +205,7 @@ func TestPullBGPConcurrentPullers(t *testing.T) {
 					}
 					advs, nv, fresh = len(replies[0].Advs), replies[0].Version, replies[0].Fresh
 				} else {
-					a, v, f, err := w.PullBGP(exporter, puller, ver, seen)
+					a, v, f, err := w.pullBGP(exporter, puller, ver, seen)
 					if err != nil {
 						errs <- err
 						return
@@ -299,7 +299,7 @@ func TestPullLSACursorSemantics(t *testing.T) {
 		t.Fatal("no local worker hosts r2")
 	}
 
-	lsas, ver, fresh, err := w.PullLSAs("r2", "r1", 0, false)
+	lsas, ver, fresh, err := w.pullLSAs("r2", "r1", 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,18 +307,18 @@ func TestPullLSACursorSemantics(t *testing.T) {
 	if !fresh || len(lsas) != 3 || ver == 0 {
 		t.Fatalf("initial LSA pull: fresh=%v lsas=%d ver=%d, want full 3-LSA flood", fresh, len(lsas), ver)
 	}
-	got, ver2, fresh2, err := w.PullLSAs("r2", "r1", ver, true)
+	got, ver2, fresh2, err := w.pullLSAs("r2", "r1", ver, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh2 || got != nil || ver2 != ver {
 		t.Fatalf("up-to-date LSA pull: fresh=%v lsas=%d, want stale no-op", fresh2, len(got))
 	}
-	if _, _, _, err := w.PullLSAs("no-such-node", "r1", 0, false); err == nil {
+	if _, _, _, err := w.pullLSAs("no-such-node", "r1", 0, false); err == nil {
 		t.Fatal("LSA pull from a non-hosted exporter must error")
 	}
 
-	replies, err := w.PullLSABatch([]sidecar.PullLSAsRequest{
+	replies, err := w.PullLSABatchWire([]sidecar.PullLSAsRequest{
 		{Exporter: "r2", Puller: "r1", Since: 0, Seen: false},
 		{Exporter: "r2", Puller: "r1", Since: ver, Seen: true},
 	})
@@ -342,7 +342,7 @@ func TestPullLSACursorSemantics(t *testing.T) {
 			var ver uint64
 			seen := false
 			for i := 0; i < 100; i++ {
-				lsas, nv, fresh, err := w.PullLSAs("r2", "r1", ver, seen)
+				lsas, nv, fresh, err := w.pullLSAs("r2", "r1", ver, seen)
 				if err != nil {
 					errs <- err
 					return

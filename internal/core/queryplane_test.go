@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"s2/internal/bdd"
 	"s2/internal/dataplane"
 	"s2/internal/obs"
-	"s2/internal/sidecar"
 )
 
 // queryColFingerprint renders one collector canonically: per-state packet
@@ -76,6 +74,16 @@ func TestBatchedQueriesByteIdenticalToSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			qs := queryMix(c)
+			// A query whose only dest is not where its packets leave the
+			// network: a one-query pass must classify against that dest set,
+			// so those packets are Exit at the prefix owner, never Arrive.
+			owners := c.PrefixOwners()
+			exitP := c.OwnedPrefixes(owners[0])[0]
+			exitQ := len(qs)
+			qs = append(qs, &dataplane.Query{
+				Header: &dataplane.HeaderSpace{DstPrefix: &exitP},
+				Dests:  []string{owners[1]},
+			})
 
 			// Cold solo baselines (RunQuery bypasses the cache).
 			want := make([]string, len(qs))
@@ -83,6 +91,14 @@ func TestBatchedQueriesByteIdenticalToSequential(t *testing.T) {
 				col, err := c.RunQuery(q, false)
 				if err != nil {
 					t.Fatalf("solo query %d: %v", i, err)
+				}
+				if i == exitQ {
+					if col.StateSet(dataplane.Exit) == bdd.False {
+						t.Errorf("solo query to %s with dest %s: no Exit outcome", exitP, owners[1])
+					}
+					if col.StateSet(dataplane.Arrive) != bdd.False || col.Arrived(owners[0]) != bdd.False {
+						t.Errorf("solo query to %s with dest %s: packets Arrive at non-dest %s", exitP, owners[1], owners[0])
+					}
 				}
 				want[i] = queryColFingerprint(c, col)
 				if want[i] == "" {
@@ -230,69 +246,6 @@ func TestQueryCacheEpochInvalidation(t *testing.T) {
 	}
 	if a, b := queryColFingerprint(c, col1), queryColFingerprint(c, col3); a != b {
 		t.Fatalf("unchanged state produced a different answer after epoch advance:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// noBatchWorker simulates a legacy fleet member that predates the
-// multi-query RPC: BeginQueryBatch answers like net/rpc's unknown-method
-// rejection, everything else passes through.
-type noBatchWorker struct {
-	sidecar.WorkerAPI
-}
-
-func (w *noBatchWorker) BeginQueryBatch(sidecar.QueryBatchRequest) error {
-	return errors.New("rpc: can't find method Sidecar.BeginQueryBatch")
-}
-
-// TestLegacyFleetFallsBackToSequential: against workers without the batch
-// RPC, a multi-query submission must degrade to one pass per query with
-// identical answers — and a direct RunQueryBatch must surface the typed
-// sentinel the scheduler keys the fallback on.
-func TestLegacyFleetFallsBackToSequential(t *testing.T) {
-	reg := obs.NewRegistry()
-	snap, texts := fatTreeSnap(t, 4)
-	c := newS2(t, snap, texts, Options{
-		Workers: 2, Shards: 2, Seed: 1, Metrics: reg,
-		WrapWorker: func(_ int, w sidecar.WorkerAPI) sidecar.WorkerAPI {
-			return &noBatchWorker{WorkerAPI: w}
-		},
-	})
-	defer c.Close()
-	runCP(t, c)
-	if _, err := c.ComputeDataPlane(); err != nil {
-		t.Fatal(err)
-	}
-	owners := c.PrefixOwners()
-	qs := []*dataplane.Query{
-		{Header: &dataplane.HeaderSpace{}, Dests: owners[:1]},
-		{Header: &dataplane.HeaderSpace{}, Dests: owners[1:2]},
-		{Header: &dataplane.HeaderSpace{}, Dests: owners[2:3]},
-	}
-
-	if _, err := c.RunQueryBatch(qs, false); !errors.Is(err, errLegacyNoBatch) {
-		t.Fatalf("RunQueryBatch on a legacy fleet: err = %v, want errLegacyNoBatch", err)
-	}
-
-	want := make([]string, len(qs))
-	for i, q := range qs {
-		col, err := c.RunQuery(q, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = queryColFingerprint(c, col)
-	}
-	passesBefore := reg.Snapshot()[MetricQueryPasses]
-	cols, _, err := c.SubmitQueryBatch(qs, false)
-	if err != nil {
-		t.Fatalf("SubmitQueryBatch must fall back, got %v", err)
-	}
-	for i := range qs {
-		if got := queryColFingerprint(c, cols[i]); got != want[i] {
-			t.Errorf("query %d: fallback answer differs from solo", i)
-		}
-	}
-	if got := reg.Snapshot()[MetricQueryPasses] - passesBefore; got != float64(len(qs)) {
-		t.Errorf("fallback ran %v passes, want %d (one per query)", got, len(qs))
 	}
 }
 

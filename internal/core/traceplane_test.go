@@ -259,16 +259,16 @@ func TestDeadWorkerTraceSurvives(t *testing.T) {
 // carry the one-shot parent, probes and peer traffic never do.
 func TestPhaseClass(t *testing.T) {
 	for _, m := range []string{"Setup", "BeginShard", "GatherBGP", "ApplyBGP",
-		"GatherOSPF", "ApplyOSPF", "EndShard", "ComputeDP", "BeginQuery",
-		"Inject", "DPRound", "FinishQuery"} {
+		"GatherOSPF", "ApplyOSPF", "EndShard", "ComputeDP", "BeginQueryBatch",
+		"Inject", "DPRound", "FinishQuery", "ApplyDelta"} {
 		if !sidecar.PhaseClass(m) {
 			t.Errorf("%s must be a phase call", m)
 		}
 	}
 	for _, m := range []string{"Ping", "HasWork", "Stats", "PullSpans",
 		"PullStats", "PullProfile",
-		"PullBGP", "PullLSAs", "PullBGPBatch", "PullLSABatch",
-		"DeliverPackets", "DeliverBatch", "CollectRIBs", "Bogus"} {
+		"PullBGPBatchWire", "PullLSABatchWire",
+		"DeliverBatch", "CollectRIBs", "Bogus"} {
 		if sidecar.PhaseClass(m) {
 			t.Errorf("%s must not be a phase call", m)
 		}

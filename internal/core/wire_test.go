@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -10,18 +9,17 @@ import (
 	"s2/internal/sidecar"
 )
 
-// wireRun executes a full 3-worker fat-tree run and returns the two
-// determinism fingerprints plus the metrics snapshot.
-func wireRun(t *testing.T, procs int, noWire bool, hook func(int, sidecar.WorkerAPI) sidecar.WorkerAPI) (string, string, map[string]float64) {
+// wireRun executes a full fat-tree run and returns the two determinism
+// fingerprints plus the metrics snapshot.
+func wireRun(t *testing.T, workers, procs, shards int, hook func(int, sidecar.WorkerAPI) sidecar.WorkerAPI) (string, string, map[string]float64) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	snap, texts := fatTreeSnap(t, 4)
 	c := newS2(t, snap, texts, Options{
-		Workers: 3, Seed: 1, KeepRIBs: true,
-		Parallelism:      procs,
-		DisableWireDedup: noWire,
-		WrapWorker:       hook,
-		Metrics:          reg,
+		Workers: workers, Shards: shards, Seed: 1, KeepRIBs: true,
+		Parallelism: procs,
+		WrapWorker:  hook,
+		Metrics:     reg,
 	})
 	defer c.Close()
 	res := runFull(t, c)
@@ -32,22 +30,11 @@ func wireRun(t *testing.T, procs int, noWire bool, hook func(int, sidecar.Worker
 	return ribsFingerprint(ribs), checkFingerprint(c, res), reg.Snapshot()
 }
 
-// wireByteSum totals s2_wire_packet_bytes_total across workers for one
-// encoding mode.
-func wireByteSum(snap map[string]float64, mode string) float64 {
+// metricSum totals every series of one metric family.
+func metricSum(snap map[string]float64, family string) float64 {
 	total := 0.0
 	for k, v := range snap {
-		if strings.HasPrefix(k, MetricWireBytes) && strings.Contains(k, `mode="`+mode+`"`) {
-			total += v
-		}
-	}
-	return total
-}
-
-func wireDedupSum(snap map[string]float64) float64 {
-	total := 0.0
-	for k, v := range snap {
-		if strings.HasPrefix(k, MetricWireDeduped) {
+		if strings.HasPrefix(k, family) {
 			total += v
 		}
 	}
@@ -55,91 +42,32 @@ func wireDedupSum(snap map[string]float64) float64 {
 }
 
 // TestWireDedupRunIsByteIdentical is the determinism contract for the
-// shared-substrate wire codec: runs with and without dedup — sequential
-// and pooled — must produce byte-identical RIBs and verification
-// outcomes, while the dedup runs move strictly fewer payload bytes.
+// shared-substrate wire codec: 3-worker runs — sequential and pooled, one
+// shard and two — must produce byte-identical RIBs and verification
+// outcomes to a single sequential worker, which ships nothing across a
+// worker boundary, while the wire path actually carries (and dedups)
+// packets.
 func TestWireDedupRunIsByteIdentical(t *testing.T) {
-	baseRIBs, baseCheck, offSnap := wireRun(t, 1, true, nil)
-	if !strings.Contains(baseRIBs, "node edge-0-0") {
-		t.Fatalf("baseline fingerprint looks empty:\n%.200s", baseRIBs)
-	}
-	offBytes := wireByteSum(offSnap, "packet")
-	if offBytes == 0 {
-		t.Fatal("dedup-off run recorded no packet-mode bytes")
-	}
-	if got := wireByteSum(offSnap, "wire"); got != 0 {
-		t.Fatalf("dedup-off run recorded %v wire-mode bytes", got)
-	}
-
-	for _, procs := range []int{1, 8} {
-		ribs, check, snap := wireRun(t, procs, false, nil)
-		if ribs != baseRIBs {
-			t.Errorf("procs=%d: RIBs differ between dedup on and off", procs)
+	for _, shards := range []int{1, 2} {
+		baseRIBs, baseCheck, baseSnap := wireRun(t, 1, 1, shards, nil)
+		if !strings.Contains(baseRIBs, "node edge-0-0") {
+			t.Fatalf("shards=%d: baseline fingerprint looks empty:\n%.200s", shards, baseRIBs)
 		}
-		if check != baseCheck {
-			t.Errorf("procs=%d: verification outcomes differ:\noff:\n%s\non:\n%s", procs, baseCheck, check)
+		for _, procs := range []int{1, 8} {
+			ribs, check, snap := wireRun(t, 3, procs, shards, nil)
+			if ribs != baseRIBs {
+				t.Errorf("shards=%d procs=%d: RIBs differ from the single-worker run", shards, procs)
+			}
+			if check != baseCheck {
+				t.Errorf("shards=%d procs=%d: verification outcomes differ:\nbase:\n%s\n3 workers:\n%s", shards, procs, baseCheck, check)
+			}
+			if got, base := metricSum(snap, MetricWireBytes), metricSum(baseSnap, MetricWireBytes); got <= base {
+				t.Errorf("shards=%d procs=%d: 3 workers moved %v wire bytes, no more than the single worker's harvest (%v)", shards, procs, got, base)
+			}
+			if metricSum(snap, MetricWireDeduped) == 0 {
+				t.Errorf("shards=%d procs=%d: dedup counter never moved", shards, procs)
+			}
 		}
-		onBytes := wireByteSum(snap, "wire")
-		if onBytes == 0 {
-			t.Errorf("procs=%d: dedup-on run recorded no wire-mode bytes", procs)
-		}
-		if got := wireByteSum(snap, "packet"); got != 0 {
-			t.Errorf("procs=%d: dedup-on run fell back to packet mode for %v bytes", procs, got)
-		}
-		if onBytes >= offBytes {
-			t.Errorf("procs=%d: wire encoding moved %v bytes, not fewer than per-packet %v", procs, onBytes, offBytes)
-		}
-		if wireDedupSum(snap) == 0 {
-			t.Errorf("procs=%d: dedup counter never moved", procs)
-		}
-	}
-}
-
-// noWirePeer simulates an older worker binary: DeliverBatch answers with
-// net/rpc's unknown-method error, everything else passes through.
-type noWirePeer struct {
-	sidecar.WorkerAPI
-	mu    *sync.Mutex
-	calls *int
-}
-
-func (n *noWirePeer) DeliverBatch(sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {
-	n.mu.Lock()
-	*n.calls++
-	n.mu.Unlock()
-	return sidecar.DeliverBatchReply{}, errors.New("rpc: can't find method Sidecar.DeliverBatch")
-}
-
-// TestWireFallbackToLegacyPeer: when a peer predates DeliverBatch, the
-// sender must detect the rejection once, mark the peer, and fall back to
-// per-packet deliveries without changing any result.
-func TestWireFallbackToLegacyPeer(t *testing.T) {
-	baseRIBs, baseCheck, _ := wireRun(t, 1, true, nil)
-
-	var mu sync.Mutex
-	calls := 0
-	hook := func(_ int, w sidecar.WorkerAPI) sidecar.WorkerAPI {
-		return &noWirePeer{WorkerAPI: w, mu: &mu, calls: &calls}
-	}
-	ribs, check, snap := wireRun(t, 1, false, hook)
-	if ribs != baseRIBs {
-		t.Error("RIBs differ after legacy-peer fallback")
-	}
-	if check != baseCheck {
-		t.Errorf("verification outcomes differ after fallback:\nwant:\n%s\ngot:\n%s", baseCheck, check)
-	}
-	mu.Lock()
-	attempts := calls
-	mu.Unlock()
-	if attempts == 0 {
-		t.Fatal("DeliverBatch was never attempted")
-	}
-	// One rejection per (sender, peer) pair at most: the mark sticks.
-	if attempts > 3*2 {
-		t.Errorf("DeliverBatch attempted %d times; peers were not marked as legacy", attempts)
-	}
-	if got := wireByteSum(snap, "packet"); got == 0 {
-		t.Error("fallback run recorded no packet-mode bytes")
 	}
 }
 
@@ -165,14 +93,14 @@ func (p *resetOncePeer) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.D
 }
 
 func TestWireSessionResetHandshakeEndToEnd(t *testing.T) {
-	baseRIBs, baseCheck, _ := wireRun(t, 1, true, nil)
+	baseRIBs, baseCheck, _ := wireRun(t, 1, 1, 1, nil)
 
 	var mu sync.Mutex
 	fired := false
 	hook := func(_ int, w sidecar.WorkerAPI) sidecar.WorkerAPI {
 		return &resetOncePeer{WorkerAPI: w, mu: &mu, fired: &fired}
 	}
-	ribs, check, _ := wireRun(t, 1, false, hook)
+	ribs, check, _ := wireRun(t, 3, 1, 1, hook)
 	mu.Lock()
 	hit := fired
 	mu.Unlock()

@@ -227,8 +227,6 @@ type s2Params struct {
 	loadOf  func(string) int64
 	seed    int64
 	procs   int  // per-worker pool size (0 = all CPUs)
-	noBatch bool // disable cross-worker pull batching
-	noWire  bool // disable the shared-substrate wire codec
 	gcWipe  bool // revert BDD GC to the seed collector (A/B baseline)
 }
 
@@ -241,20 +239,10 @@ func (p s2Params) resolvedProcs() int {
 	return runtime.NumCPU()
 }
 
-// recordPoolTelemetry stamps the run's pool and batching knobs into the
+// recordPoolTelemetry stamps the run's pool and collector knobs into the
 // telemetry map next to the metrics snapshot (s2bench -json rows).
 func recordPoolTelemetry(t map[string]float64, p s2Params) {
 	t["s2_pool_procs"] = float64(p.resolvedProcs())
-	if p.noBatch {
-		t["s2_batch_pulls_enabled"] = 0
-	} else {
-		t["s2_batch_pulls_enabled"] = 1
-	}
-	if p.noWire {
-		t["s2_wire_dedup_enabled"] = 0
-	} else {
-		t["s2_wire_dedup_enabled"] = 1
-	}
 	if p.gcWipe {
 		t["s2_gc_relocation_enabled"] = 0
 	} else {
@@ -292,10 +280,8 @@ func runS2(texts map[string]string, p s2Params) (row Row) {
 		Metrics:      reg,
 		Logger:       logger,
 
-		Parallelism:       p.procs,
-		DisableBatchPulls: p.noBatch,
-		DisableWireDedup:  p.noWire,
-		GCWipe:            p.gcWipe,
+		Parallelism: p.procs,
+		GCWipe:      p.gcWipe,
 	})
 	if err != nil {
 		row.Err = err.Error()
@@ -356,10 +342,8 @@ func runS2CP(texts map[string]string, p s2Params) (row Row) {
 		Metrics:      reg,
 		Logger:       logger,
 
-		Parallelism:       p.procs,
-		DisableBatchPulls: p.noBatch,
-		DisableWireDedup:  p.noWire,
-		GCWipe:            p.gcWipe,
+		Parallelism: p.procs,
+		GCWipe:      p.gcWipe,
 	})
 	if err != nil {
 		row.Err = err.Error()

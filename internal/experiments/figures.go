@@ -289,14 +289,12 @@ func Figure10(cfg Config) ([]Row, error) {
 
 // Figure11 measures this implementation's multi-core hot path (not a paper
 // figure): one FatTree, a fixed worker count, sweeping the per-worker pool
-// size across three configurations — everything off ("pN"), pull batching
-// on with per-packet wire encoding ("pN+batch-nowire"), and the full fast
-// path with the shared-substrate wire codec ("pN+batch"). Wall clock
-// should fall as the pool grows (bounded by the host's core count — see
-// the README's note on reading these numbers), the batched runs should
-// show fewer client RPCs (s2_rpc_calls_total in the row telemetry), and
-// the wire-dedup runs should move several times fewer cross-worker
-// data-plane bytes (s2_wire_packet_bytes_total) at equal results.
+// size with the default collector ("pN") and the seed-collector baseline
+// ("pN+gcwipe"). Wall clock should fall as the pool grows (bounded by the
+// host's core count — see the README's note on reading these numbers);
+// the row telemetry carries the cross-worker RPC counts
+// (s2_rpc_calls_total), data-plane bytes (s2_wire_packet_bytes_total) and
+// dedup hits (s2_wire_nodes_deduped_total) of the one transport path.
 func Figure11(cfg Config) ([]Row, error) {
 	cfg = cfg.Defaults()
 	_, texts, err := fatTreeSnap(cfg.FixedK)
@@ -309,19 +307,15 @@ func Figure11(cfg Config) ([]Row, error) {
 		workers = 2
 	}
 	configs := []struct {
-		suffix  string
-		noBatch bool
-		noWire  bool
-		gcWipe  bool
+		suffix string
+		gcWipe bool
 	}{
-		{suffix: "", noBatch: true, noWire: true},
-		{suffix: "+batch-nowire", noBatch: false, noWire: true},
-		{suffix: "+batch", noBatch: false, noWire: false},
+		{suffix: ""},
 		// The seed-collector baseline (sequential mark, op cache wiped per
 		// collection) against the default relocating parallel collector:
-		// compare s2_bdd_gc_pause_p50/p99_seconds between +batch and
-		// +batch+gcwipe at equal (byte-identical) results.
-		{suffix: "+batch+gcwipe", noBatch: false, noWire: false, gcWipe: true},
+		// compare s2_bdd_gc_pause_p50/p99_seconds between pN and pN+gcwipe
+		// at equal (byte-identical) results.
+		{suffix: "+gcwipe", gcWipe: true},
 	}
 	var rows []Row
 	for _, cc := range configs {
@@ -329,7 +323,7 @@ func Figure11(cfg Config) ([]Row, error) {
 			r := runS2(texts, s2Params{
 				workers: workers, shards: cfg.Shards,
 				loadOf: partition.EstimateFatTreeLoad(cfg.FixedK), seed: cfg.Seed,
-				procs: procs, noBatch: cc.noBatch, noWire: cc.noWire, gcWipe: cc.gcWipe,
+				procs: procs, gcWipe: cc.gcWipe,
 			})
 			r.Figure, r.Network, r.Variant = "fig11", network, fmt.Sprintf("p%d%s", procs, cc.suffix)
 			rows = append(rows, r)

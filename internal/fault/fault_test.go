@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"s2/internal/bgp"
 	"s2/internal/metrics"
-	"s2/internal/ospf"
 	"s2/internal/route"
 	"s2/internal/sidecar"
 )
@@ -311,27 +309,13 @@ func (n *nullWorker) ApplyBGP() (sidecar.ApplyReply, error)      { return sideca
 func (n *nullWorker) GatherOSPF() error                          { return nil }
 func (n *nullWorker) ApplyOSPF() (sidecar.ApplyReply, error)     { return sidecar.ApplyReply{}, nil }
 func (n *nullWorker) EndShard() (sidecar.EndShardReply, error)   { return sidecar.EndShardReply{}, nil }
-func (n *nullWorker) PullBGP(string, string, uint64, bool) ([]bgp.Advertisement, uint64, bool, error) {
-	return nil, 0, false, nil
-}
-func (n *nullWorker) PullLSAs(string, string, uint64, bool) ([]*ospf.LSA, uint64, bool, error) {
-	return nil, 0, false, nil
-}
-func (n *nullWorker) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	return make([]sidecar.PullBGPReply, len(reqs)), nil
-}
-func (n *nullWorker) PullLSABatch(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	return make([]sidecar.PullLSAsReply, len(reqs)), nil
-}
 func (n *nullWorker) ComputeDP() (sidecar.ComputeDPReply, error) {
 	return sidecar.ComputeDPReply{}, nil
 }
-func (n *nullWorker) BeginQuery(sidecar.QueryRequest) error           { return nil }
 func (n *nullWorker) BeginQueryBatch(sidecar.QueryBatchRequest) error { return nil }
 func (n *nullWorker) Inject(sidecar.InjectRequest) error              { return nil }
 func (n *nullWorker) DPRound() error                                  { return nil }
 func (n *nullWorker) HasWork() (bool, error)                          { return false, nil }
-func (n *nullWorker) DeliverPackets([]sidecar.PacketDelivery) error   { return nil }
 func (n *nullWorker) DeliverBatch(sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {
 	return sidecar.DeliverBatchReply{}, nil
 }
@@ -464,6 +448,28 @@ func TestInjectorPersistentPlan(t *testing.T) {
 			t.Fatalf("call %d must drop transiently, got %v", i+1, err)
 		}
 	}
+}
+
+// TestInjectorRejectsUnknownMethod: a plan naming a method outside
+// sidecar.WorkerAPI — here a per-item pull the transport no longer has —
+// could never fire, so building the injector must fail loudly.
+func TestInjectorRejectsUnknownMethod(t *testing.T) {
+	for _, m := range []string{"PullBGP", "DeliverPackets", "BeginQuery", "Gatherbgp"} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("NewInjector accepted a plan for %q", m)
+				} else if !strings.Contains(fmt.Sprint(r), m) {
+					t.Errorf("panic for %q does not name the method: %v", m, r)
+				}
+			}()
+			NewInjector(&nullWorker{}, Plan{Method: "Ping", Mode: Drop}, Plan{Method: m, Mode: Drop})
+		}()
+	}
+	// Every real method and the wildcard are accepted.
+	NewInjector(&nullWorker{}, Plan{Method: "*"}, Plan{Method: "PullBGPBatchWire"},
+		Plan{Method: "DeliverBatch"}, Plan{Method: "BeginQueryBatch"})
 }
 
 func TestInjectorWildcard(t *testing.T) {

@@ -2,11 +2,10 @@ package fault
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
-	"s2/internal/bgp"
-	"s2/internal/ospf"
 	"s2/internal/route"
 	"s2/internal/sidecar"
 )
@@ -54,8 +53,16 @@ type Injector struct {
 	crashed bool
 }
 
-// NewInjector wraps inner with the given plans.
+// NewInjector wraps inner with the given plans. It panics if a plan names
+// a method outside sidecar.WorkerAPI (other than "*"): such a plan could
+// never fire, and a fault test that silently injects nothing proves nothing.
 func NewInjector(inner sidecar.WorkerAPI, plans ...Plan) *Injector {
+	api := reflect.TypeOf((*sidecar.WorkerAPI)(nil)).Elem()
+	for _, p := range plans {
+		if _, ok := api.MethodByName(p.Method); !ok && p.Method != "*" {
+			panic(fmt.Sprintf("fault: plan names %q, which is not a sidecar.WorkerAPI method", p.Method))
+		}
+	}
 	return &Injector{inner: inner, plans: plans, calls: map[string]int{}}
 }
 
@@ -181,34 +188,6 @@ func (j *Injector) EndShard() (sidecar.EndShardReply, error) {
 	return j.inner.EndShard()
 }
 
-func (j *Injector) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	if err := j.before("PullBGP"); err != nil {
-		return nil, 0, false, err
-	}
-	return j.inner.PullBGP(exporter, puller, since, seen)
-}
-
-func (j *Injector) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	if err := j.before("PullLSAs"); err != nil {
-		return nil, 0, false, err
-	}
-	return j.inner.PullLSAs(exporter, puller, since, seen)
-}
-
-func (j *Injector) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	if err := j.before("PullBGPBatch"); err != nil {
-		return nil, err
-	}
-	return j.inner.PullBGPBatch(reqs)
-}
-
-func (j *Injector) PullLSABatch(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	if err := j.before("PullLSABatch"); err != nil {
-		return nil, err
-	}
-	return j.inner.PullLSABatch(reqs)
-}
-
 func (j *Injector) PullBGPBatchWire(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
 	if err := j.before("PullBGPBatchWire"); err != nil {
 		return nil, err
@@ -237,13 +216,6 @@ func (j *Injector) ComputeDP() (sidecar.ComputeDPReply, error) {
 	return j.inner.ComputeDP()
 }
 
-func (j *Injector) BeginQuery(req sidecar.QueryRequest) error {
-	if err := j.before("BeginQuery"); err != nil {
-		return err
-	}
-	return j.inner.BeginQuery(req)
-}
-
 func (j *Injector) BeginQueryBatch(req sidecar.QueryBatchRequest) error {
 	if err := j.before("BeginQueryBatch"); err != nil {
 		return err
@@ -270,13 +242,6 @@ func (j *Injector) HasWork() (bool, error) {
 		return false, err
 	}
 	return j.inner.HasWork()
-}
-
-func (j *Injector) DeliverPackets(items []sidecar.PacketDelivery) error {
-	if err := j.before("DeliverPackets"); err != nil {
-		return err
-	}
-	return j.inner.DeliverPackets(items)
 }
 
 func (j *Injector) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {

@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"s2/internal/bgp"
-	"s2/internal/ospf"
 	"s2/internal/route"
 	"s2/internal/sidecar"
 )
@@ -71,50 +69,6 @@ func (w *wrapped) EndShard() (sidecar.EndShardReply, error) {
 	return reply, err
 }
 
-func (w *wrapped) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	var advs []bgp.Advertisement
-	var ver uint64
-	var fresh bool
-	err := w.c.Do("PullBGP", true, func() error {
-		var err error
-		advs, ver, fresh, err = w.api.PullBGP(exporter, puller, since, seen)
-		return err
-	})
-	return advs, ver, fresh, err
-}
-
-func (w *wrapped) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	var lsas []*ospf.LSA
-	var ver uint64
-	var fresh bool
-	err := w.c.Do("PullLSAs", true, func() error {
-		var err error
-		lsas, ver, fresh, err = w.api.PullLSAs(exporter, puller, since, seen)
-		return err
-	})
-	return lsas, ver, fresh, err
-}
-
-func (w *wrapped) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	var replies []sidecar.PullBGPReply
-	err := w.c.Do("PullBGPBatch", true, func() error {
-		var err error
-		replies, err = w.api.PullBGPBatch(reqs)
-		return err
-	})
-	return replies, err
-}
-
-func (w *wrapped) PullLSABatch(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	var replies []sidecar.PullLSAsReply
-	err := w.c.Do("PullLSABatch", true, func() error {
-		var err error
-		replies, err = w.api.PullLSABatch(reqs)
-		return err
-	})
-	return replies, err
-}
-
 func (w *wrapped) PullBGPBatchWire(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
 	var replies []sidecar.PullBGPReply
 	err := w.c.Do("PullBGPBatchWire", true, func() error {
@@ -155,10 +109,6 @@ func (w *wrapped) ComputeDP() (sidecar.ComputeDPReply, error) {
 	return reply, err
 }
 
-func (w *wrapped) BeginQuery(req sidecar.QueryRequest) error {
-	return w.c.Do("BeginQuery", true, func() error { return w.api.BeginQuery(req) })
-}
-
 func (w *wrapped) BeginQueryBatch(req sidecar.QueryBatchRequest) error {
 	return w.c.Do("BeginQueryBatch", true, func() error { return w.api.BeginQueryBatch(req) })
 }
@@ -179,10 +129,6 @@ func (w *wrapped) HasWork() (bool, error) {
 		return err
 	})
 	return busy, err
-}
-
-func (w *wrapped) DeliverPackets(items []sidecar.PacketDelivery) error {
-	return w.c.Do("DeliverPackets", false, func() error { return w.api.DeliverPackets(items) })
 }
 
 func (w *wrapped) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {

@@ -11,6 +11,11 @@ import (
 	"time"
 )
 
+// ReadHeaderTimeout bounds how long the HTTP servers of every binary wait
+// for a client's request headers, so a slow or stalled client cannot hold
+// a connection open indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
+
 // ServerOptions wires the introspection endpoints. Nil fields disable the
 // corresponding endpoint body (the route still answers, with a minimal
 // payload, so probes never 404 on a healthy process).
@@ -100,7 +105,7 @@ func ServeIntrospection(addr string, opts ServerOptions) (*HTTPServer, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	RegisterFleetHandlers(mux, opts.Dashboard, opts.Profiles, opts.ProfilePull)
 
-	s := &HTTPServer{srv: &http.Server{Handler: mux}, lis: lis}
+	s := &HTTPServer{srv: &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout}, lis: lis}
 	go s.srv.Serve(lis)
 	return s, nil
 }

@@ -57,6 +57,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -281,12 +282,36 @@ func requestID(r *http.Request) string {
 // trace file instead of the ordinary JSON envelope.
 type chromeTrace []obs.TraceEvent
 
-// endpoint wraps a handler with the per-request observability: request id,
-// in-flight gauge, request counter, latency histogram, and one structured
-// log record. With no registry, logger, or trace store configured it calls
-// the handler directly — no id, no context copy, no allocations.
+// Request body caps. Config uploads carry whole device configurations;
+// every other endpoint takes a small JSON document. A body over its cap is
+// answered 413 (see decodeErr).
+const (
+	maxConfigsBody = 64 << 20
+	maxRequestBody = 1 << 20
+)
+
+// decodeErr maps a request-body read or decode failure to its answer: 413
+// when the body exceeded its cap, 400 otherwise.
+func decodeErr(err error) (int, any) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return errBody(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	}
+	return errBody(http.StatusBadRequest, "bad JSON: %v", err)
+}
+
+// endpoint wraps a handler with the body cap and the per-request
+// observability: request id, in-flight gauge, request counter, latency
+// histogram, and one structured log record. With no registry, logger, or
+// trace store configured it calls the handler directly — no id, no context
+// copy.
 func (s *Server) endpoint(path string, h func(*http.Request) (int, any)) http.HandlerFunc {
+	limit := int64(maxRequestBody)
+	if path == "/v1/configs" {
+		limit = maxConfigsBody
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
 		if s.reg == nil && s.log == nil && s.traces == nil {
 			status, body := h(r)
 			writeBody(w, status, body)
@@ -390,7 +415,7 @@ func (s *Server) handleConfigs(r *http.Request) (int, any) {
 	}
 	var req configsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return errBody(http.StatusBadRequest, "bad JSON: %v", err)
+		return decodeErr(err)
 	}
 	if len(req.Snapshot) > 0 && (len(req.Set) > 0 || len(req.Remove) > 0) {
 		return errBody(http.StatusBadRequest, "snapshot and set/remove are mutually exclusive")
@@ -434,12 +459,12 @@ func (s *Server) handleVerify(r *http.Request) (status int, body any) {
 	}
 	// The request takes no parameters, but a malformed body is a client
 	// error, not something to silently ignore (or 500 on).
-	if raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20)); err != nil {
-		return errBody(http.StatusBadRequest, "reading body: %v", err)
+	if raw, err := io.ReadAll(r.Body); err != nil {
+		return decodeErr(err)
 	} else if trimmed := strings.TrimSpace(string(raw)); trimmed != "" {
 		var ignored map[string]any
 		if err := json.Unmarshal([]byte(trimmed), &ignored); err != nil {
-			return errBody(http.StatusBadRequest, "bad JSON: %v", err)
+			return decodeErr(err)
 		}
 	}
 	s.mu.Lock()
@@ -609,7 +634,7 @@ func (s *Server) handleBatchQueries(r *http.Request) (int, any) {
 		Queries []batchQuery `json:"queries"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return errBody(http.StatusBadRequest, "bad JSON: %v", err)
+		return decodeErr(err)
 	}
 	if len(req.Queries) == 0 {
 		return errBody(http.StatusBadRequest, "no queries")

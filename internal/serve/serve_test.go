@@ -228,7 +228,17 @@ func TestServeRejectsBadRequests(t *testing.T) {
 // endpoint answers with an explicit JSON Content-Type, malformed bodies are
 // client errors (400, never 500), and wrong methods are 405.
 func TestServeStatusAndContentType(t *testing.T) {
-	ts, _ := bootServer(t)
+	ts, texts := bootServer(t)
+	// pad grows a JSON object to size bytes with whitespace before its
+	// closing brace, so a decoder must read every byte to finish it.
+	pad := func(doc string, size int) string {
+		return doc[:len(doc)-1] + strings.Repeat(" ", size-len(doc)) + "}"
+	}
+	query := `{"queries": [{"dst_prefix": "10.128.0.0/24", "dests": ["edge-0-0"]}]}`
+	set, err := json.Marshal(map[string]any{"set": map[string]string{"agg-0-0": texts["agg-0-0"]}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name       string
@@ -251,6 +261,13 @@ func TestServeStatusAndContentType(t *testing.T) {
 		{"verify object body ok", "POST", "/v1/verify", "{}", 200},
 		{"verify malformed body", "POST", "/v1/verify", "{oops", 400},
 		{"verify array body", "POST", "/v1/verify", "[1, 2]", 400},
+		// Bodies over their endpoint's cap are 413, never a truncated
+		// "bad JSON" 400; bodies just under the cap are still served.
+		{"verify body over cap", "POST", "/v1/verify", pad("{}", maxRequestBody+1), 413},
+		{"verify body under cap", "POST", "/v1/verify", pad("{}", maxRequestBody), 200},
+		{"queries body over cap", "POST", "/v1/queries", pad(query, maxRequestBody+1), 413},
+		{"queries body under cap", "POST", "/v1/queries", pad(query, maxRequestBody), 200},
+		{"configs normal body", "POST", "/v1/configs", string(set), 200},
 		{"audit without journal", "GET", "/v1/audit", "", 200},
 		{"audit bad limit", "GET", "/v1/audit?limit=nope", "", 400},
 		{"trace list without store", "GET", "/debug/traces", "", 200},

@@ -1,13 +1,21 @@
 // Package sidecar is the communication layer of S2 (§3.2, "Sidecars"):
 // every worker exposes one RPC endpoint used by the controller (to
-// orchestrate phases) and by peer workers (to pull routes for shadow nodes
-// and to deliver symbolic packets). The controller and each worker hold a
-// directory of clients, mirroring the paper's per-server sidecar processes
-// that route requests by a node→worker map.
+// orchestrate phases) and by peer workers. The controller and each worker
+// hold a directory of clients, mirroring the paper's per-server sidecar
+// processes that route requests by a node→worker map.
 //
-// The wire protocol is Go's net/rpc with gob encoding — the stdlib
-// equivalent of the paper's gRPC + Java serialization choice (§5.1). The
-// same WorkerAPI interface is implemented by the in-process worker (direct
+// Cross-worker traffic has exactly one path per direction, as in the
+// paper's sidecar: one route relay (PullBGPBatchWire/PullLSABatchWire — a
+// shadow node's pulls, coalesced per owning worker, replies varint-encoded
+// by wirecodec.go) and one symbolic-packet relay (DeliverBatch — a shared
+// BDD substrate per destination worker with per-peer node dedup). Every
+// binary is built from one tree, so the two ends always speak the same
+// protocol; Setup checks ProtocolVersion and a mismatch fails the run
+// there with a *ProtocolError instead of somewhere in the middle.
+//
+// The RPC layer is Go's net/rpc with gob encoding — the stdlib equivalent
+// of the paper's gRPC + Java serialization choice (§5.1). The same
+// WorkerAPI interface is implemented by the in-process worker (direct
 // calls, one goroutine pool per worker) and by the RemoteWorker RPC client
 // (workers in separate OS processes via cmd/s2worker), so the controller
 // code is transport-agnostic.
@@ -18,6 +26,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,14 +42,11 @@ import (
 // TraceContext is the cross-process span identity carried on every sidecar
 // request (see obs.TraceContext): the caller's in-flight span, under which
 // the server side parents the spans it creates while serving the call.
-// The zero value — what legacy callers effectively send — means "no
-// parent". The alias keeps request structs self-describing while obs owns
-// the propagation semantics.
+// The zero value means "no parent". The alias keeps request structs
+// self-describing while obs owns the propagation semantics.
 type TraceContext = obs.TraceContext
 
-// CallMeta replaces Empty as the argument of void RPCs so they can carry a
-// TraceContext. gob tolerates the change in both directions: old callers'
-// Empty decodes as the zero CallMeta, and old servers ignore the TC field.
+// CallMeta is the argument of void RPCs so they can carry a TraceContext.
 type CallMeta struct {
 	TC TraceContext
 }
@@ -50,8 +56,44 @@ type CallMeta struct {
 // classifies it as transient).
 var ErrDraining = errors.New("sidecar: server draining")
 
+// ProtocolVersion names the RPC surface this build speaks. The controller
+// stamps it on every SetupRequest and the worker's sidecar refuses a
+// request stamped with any other value, so a controller and a worker from
+// different builds fail at Setup instead of mid-run. Bump it whenever a
+// method, request or reply changes shape.
+const ProtocolVersion = 2
+
+// ProtocolError reports a Setup whose controller and worker speak
+// different protocol versions. It is fatal: retrying cannot help.
+type ProtocolError struct {
+	Controller, Worker int
+}
+
+// protocolErrPrefix starts every ProtocolError message; RemoteWorker
+// recognizes it to rebuild the typed error after net/rpc flattened it.
+const protocolErrPrefix = "sidecar: protocol mismatch"
+
+func (e *ProtocolError) Error() string {
+	return fmt.Sprintf("%s: controller speaks v%d, worker speaks v%d", protocolErrPrefix, e.Controller, e.Worker)
+}
+
+// asProtocolError rebuilds a *ProtocolError from its flattened text.
+func asProtocolError(err error) error {
+	var se rpc.ServerError
+	if !errors.As(err, &se) || !strings.HasPrefix(string(se), protocolErrPrefix) {
+		return err
+	}
+	pe := &ProtocolError{}
+	if _, scanErr := fmt.Sscanf(string(se)[len(protocolErrPrefix):], ": controller speaks v%d, worker speaks v%d", &pe.Controller, &pe.Worker); scanErr != nil {
+		return err
+	}
+	return pe
+}
+
 // SetupRequest initializes a worker with its segment of the network.
 type SetupRequest struct {
+	// Protocol is the controller's ProtocolVersion (see ProtocolError).
+	Protocol int
 	// WorkerID is this worker's index; Assignment maps every node in the
 	// network to its worker (shadow-node routing table).
 	WorkerID   int
@@ -86,26 +128,15 @@ type SetupRequest struct {
 	RPCTimeout time.Duration
 	RPCRetries int
 	// Parallelism bounds the worker's per-node goroutine pool for the
-	// simulation phases (Gather*/Apply*/ComputeDP/DPRound). <= 0 falls back
-	// to the worker's own default (the s2worker -procs flag, else 1), so
-	// controllers predating this field leave old workers sequential.
+	// simulation phases (Gather*/Apply*/ComputeDP/DPRound). <= 0 means the
+	// worker's own default (the s2worker -procs flag, else 1).
 	Parallelism int
-	// DisableBatchPulls turns off coalescing of shadow-node pulls into
-	// per-owner PullBGPBatch/PullLSABatch round trips (the zero value keeps
-	// batching ON).
-	DisableBatchPulls bool
-	// DisableWireDedup turns off the shared-substrate wire codec for
-	// cross-worker packet delivery (DeliverBatch with per-peer incremental
-	// node dedup), reverting to one independently-serialized BDD per
-	// packet (the zero value keeps dedup ON).
-	DisableWireDedup bool
 	// GCStress forces the worker's BDD GC pacer to collect at every safe
 	// point where the table grew at all — a smoke-test knob that maximizes
 	// collection count so relocation and pacing bugs surface; results must
 	// stay byte-identical. GCWipe reverts the engine to the seed
 	// collector's cache behavior (op cache wiped on every collection) as
-	// the A/B baseline for GC benchmarks. Both default off; gob tolerates
-	// the new fields in mixed fleets (old workers ignore them).
+	// the A/B baseline for GC benchmarks. Both default off.
 	GCStress bool
 	GCWipe   bool
 	// TC parents the worker's setup span under the caller's RPC span.
@@ -150,7 +181,8 @@ type ApplyReply struct {
 	Routes int
 }
 
-// PullBGPRequest relays a shadow node's route pull to the real node.
+// PullBGPRequest is one shadow node's route pull from the real node; a
+// batch carries every pull one worker has for one owner in a gather round.
 type PullBGPRequest struct {
 	Exporter string
 	Puller   string
@@ -159,14 +191,14 @@ type PullBGPRequest struct {
 	TC       TraceContext
 }
 
-// PullBGPReply carries the exported advertisements.
+// PullBGPReply carries the exported advertisements of one pull.
 type PullBGPReply struct {
 	Advs    []bgp.Advertisement
 	Version uint64
 	Fresh   bool
 }
 
-// PullLSAsRequest relays a shadow node's LSA pull.
+// PullLSAsRequest is one shadow node's LSA pull.
 type PullLSAsRequest struct {
 	Exporter string
 	Puller   string
@@ -175,29 +207,16 @@ type PullLSAsRequest struct {
 	TC       TraceContext
 }
 
-// PullLSAsReply carries the flooded LSAs.
+// PullLSAsReply carries the flooded LSAs of one pull.
 type PullLSAsReply struct {
 	LSAs    []*ospf.LSA
 	Version uint64
 	Fresh   bool
 }
 
-// PullBGPBatchReply carries one reply per request of a coalesced pull, in
-// request order. Batching turns the per-shadow-node round trips of one CP
-// iteration into a single RPC per remote owner.
-type PullBGPBatchReply struct {
-	Replies []PullBGPReply
-}
-
-// PullLSABatchReply is the LSA analogue of PullBGPBatchReply.
-type PullLSABatchReply struct {
-	Replies []PullLSAsReply
-}
-
-// PullWireReply carries a batch-pull reply set as one compact varint
-// payload (wirecodec.go) instead of gob-encoded structs — the control-plane
-// analogue of the data plane's shared-substrate wire codec. Workers fall
-// back to the gob batch RPCs against peers that predate it.
+// PullWireReply carries a batch-pull reply set, one reply per request in
+// request order, as one compact varint payload (wirecodec.go) — the
+// control-plane analogue of the data plane's shared-substrate wire codec.
 type PullWireReply struct {
 	Payload []byte
 }
@@ -233,18 +252,11 @@ type ComputeDPReply struct {
 	Errors     []string
 }
 
-// QueryRequest configures one property query on the workers.
-type QueryRequest struct {
-	Query dataplane.Query
-	TC    TraceContext
-}
-
-// QueryBatchRequest configures one multi-query symbolic pass: every query
-// shares the pass's transit metadata bits and TTL (dataplane.BatchCompatible),
-// while injected packets carry dataplane.QueryTag(i) source prefixes so the
-// wavefront keeps per-query packets in distinct slots. Workers that predate
-// this RPC reject it with the net/rpc unknown-method error; the controller
-// falls back to sequential per-query passes.
+// QueryBatchRequest arms one symbolic pass of one or more queries: every
+// query shares the pass's transit metadata bits and TTL
+// (dataplane.BatchCompatible). With more than one query, injected packets
+// carry dataplane.QueryTag(i) source prefixes so the wavefront keeps
+// per-query packets in distinct slots; a one-query pass injects untagged.
 type QueryBatchRequest struct {
 	Queries []dataplane.Query
 	TC      TraceContext
@@ -254,8 +266,6 @@ type QueryBatchRequest struct {
 // receiving worker). The packet is a serialized BDD. Tag, when non-empty,
 // is the dataplane.QueryTag prefix of a multi-query pass: ownership is
 // validated against Source, and the packet circulates as Tag+Source.
-// (gob tolerates the added field in mixed fleets; old peers never see it
-// because batch passes are negotiated via BeginQueryBatch first.)
 type InjectRequest struct {
 	Source string
 	Packet []byte
@@ -263,25 +273,10 @@ type InjectRequest struct {
 	TC     TraceContext
 }
 
-// PacketDelivery is one symbolic packet crossing a worker boundary: it
-// arrives at Node on port InPort (③→④→⑤ in the paper's Figure 3). Round
-// is the wavefront round the packet must be processed in: a delivery can
-// physically arrive before the receiver has drained its current round
-// (workers run each round concurrently), and processing it early would
-// let the packet cross two adjacencies in one TTL tick. Receivers park
-// deliveries stamped for a future round. Zero means round 0 (injection),
-// and senders that predate the field degrade to immediate processing.
-type PacketDelivery struct {
-	Source string
-	Node   string
-	InPort string
-	Packet []byte
-	Round  int
-}
-
-// WirePacket is one symbolic packet inside a DeliverBatch message: the
-// usual delivery coordinates plus the root's id in the batch's shared
-// substrate (bdd wire codec) instead of an independently serialized BDD.
+// WirePacket is one symbolic packet crossing a worker boundary inside a
+// DeliverBatch message: it arrives at Node on port InPort (③→④→⑤ in the
+// paper's Figure 3), and Root is its id in the batch's shared substrate
+// (bdd wire codec).
 type WirePacket struct {
 	Source string
 	Node   string
@@ -293,12 +288,17 @@ type WirePacket struct {
 // destination worker in a round chunk: one shared-substrate BDD message
 // (bdd.EncodeDelta against the sender's per-peer WireSession) plus the
 // per-packet roots referencing it. From names the sending worker so the
-// receiver can keep one wire session per peer.
+// receiver can keep one wire session per peer. Round is the wavefront
+// round the packets must be processed in: a batch can physically arrive
+// before the receiver has drained its current round (workers run each
+// round concurrently), and processing it early would let a packet cross
+// two adjacencies in one TTL tick, so receivers park batches stamped for
+// a future round.
 type DeliverBatchRequest struct {
 	From  int
 	Wire  []byte
 	Items []WirePacket
-	Round int // wavefront round the batch is for (see PacketDelivery.Round)
+	Round int
 	TC    TraceContext
 }
 
@@ -316,19 +316,10 @@ type HasWorkReply struct {
 	Busy bool
 }
 
-// OutcomeBatch is a worker's finalized packets for the current query.
-// When Wire is non-empty it is a shared-substrate set encoding
-// (bdd.SerializeSet) of every outcome's packet, root i belonging to
-// Outcomes[i], whose Packet field is then empty. When Wire is empty each
-// outcome carries its own independently serialized packet (older workers
-// and the -no-wire-dedup escape hatch).
+// OutcomeBatch is a worker's finalized packets for the current query: Wire
+// is a shared-substrate set encoding (bdd.SerializeSet) of every outcome's
+// packet, root i belonging to Outcomes[i] (whose Packet field is empty).
 type OutcomeBatch struct {
-	Wire     []byte
-	Outcomes []dataplane.RawOutcome
-}
-
-// OutcomesReply returns a worker's finalized packets for the current query.
-type OutcomesReply struct {
 	Wire     []byte
 	Outcomes []dataplane.RawOutcome
 }
@@ -456,17 +447,11 @@ type WorkerAPI interface {
 	ApplyOSPF() (ApplyReply, error)
 	EndShard() (EndShardReply, error)
 
-	PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error)
-	PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error)
-	// PullBGPBatch and PullLSABatch serve many pulls in one round trip;
-	// replies align with reqs by index. Workers fall back to per-pull RPCs
-	// against peers that predate these methods.
-	PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error)
-	PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error)
-	// PullBGPBatchWire and PullLSABatchWire are the batch pulls with the
-	// reply set varint-encoded on the wire (PullWireReply) instead of gob.
-	// In-process they are identical to the gob batches; workers fall back
-	// per peer when the remote end predates them.
+	// PullBGPBatchWire and PullLSABatchWire are the route relay: they serve
+	// every pull one peer has for this worker's nodes in one round trip,
+	// replies aligned with reqs by index. Over RPC the reply set crosses
+	// the wire varint-encoded (PullWireReply); in-process it is returned
+	// as is.
 	PullBGPBatchWire(reqs []PullBGPRequest) ([]PullBGPReply, error)
 	PullLSABatchWire(reqs []PullLSAsRequest) ([]PullLSAsReply, error)
 
@@ -477,31 +462,26 @@ type WorkerAPI interface {
 	ApplyDelta(req DeltaRequest) (DeltaReply, error)
 
 	ComputeDP() (ComputeDPReply, error)
-	BeginQuery(req QueryRequest) error
-	// BeginQueryBatch arms one multi-query symbolic pass (tagged sources,
-	// per-query dest sets). Workers that predate it return the net/rpc
-	// unknown-method error; the controller falls back to per-query passes.
+	// BeginQueryBatch arms one symbolic pass of one or more queries
+	// (per-query dest sets; tagged sources when there are several).
 	BeginQueryBatch(req QueryBatchRequest) error
 	Inject(req InjectRequest) error
 	DPRound() error
 	HasWork() (bool, error)
-	DeliverPackets(items []PacketDelivery) error
-	// DeliverBatch delivers many packets against one shared BDD substrate
-	// with per-peer incremental node dedup. Workers fall back to
-	// per-packet DeliverPackets against peers that predate this method.
+	// DeliverBatch is the symbolic-packet relay: many packets against one
+	// shared BDD substrate with per-peer incremental node dedup.
 	DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply, error)
 	FinishQuery() (OutcomeBatch, error)
 
 	CollectRIBs() (map[string][]*route.Route, error)
 	Stats() (WorkerStats, error)
 	// PullSpans drains the worker's span export queue. Probe-class like
-	// Ping/Stats: it must not block on phase state, and workers that
-	// predate it (or run without a tracer) return an empty reply.
+	// Ping/Stats: it must not block on phase state, and workers without a
+	// tracer return an empty reply.
 	PullSpans(req PullSpansRequest) (PullSpansReply, error)
 	// PullStats returns the worker's live vitals for the fleet health
 	// plane. Probe-class like Ping/Stats/PullSpans: it must not block on
-	// phase state; workers that predate it answer with the net/rpc
-	// unknown-method error and the controller stops asking.
+	// phase state.
 	PullStats(req PullStatsRequest) (PullStatsReply, error)
 	// PullProfile captures and returns one pprof profile. Probe-class (no
 	// phase lock), though a cpu capture blocks its caller for the capture
@@ -578,9 +558,15 @@ func (s *Service) Ping(_ Empty, _ *Empty) error {
 	return s.do("Ping", TraceContext{}, func() error { return s.api.Ping() })
 }
 
-// Setup RPC.
+// Setup RPC. A request from a controller speaking another protocol
+// version is refused before it reaches the worker.
 func (s *Service) Setup(req SetupRequest, _ *Empty) error {
-	return s.do("Setup", req.TC, func() error { return s.api.Setup(req) })
+	return s.do("Setup", req.TC, func() error {
+		if req.Protocol != ProtocolVersion {
+			return &ProtocolError{Controller: req.Protocol, Worker: ProtocolVersion}
+		}
+		return s.api.Setup(req)
+	})
 }
 
 // BeginShard RPC.
@@ -621,50 +607,6 @@ func (s *Service) EndShard(args CallMeta, reply *EndShardReply) error {
 	return s.do("EndShard", args.TC, func() error {
 		r, err := s.api.EndShard()
 		*reply = r
-		return err
-	})
-}
-
-// PullBGP RPC.
-func (s *Service) PullBGP(req PullBGPRequest, reply *PullBGPReply) error {
-	return s.do("PullBGP", req.TC, func() error {
-		advs, ver, fresh, err := s.api.PullBGP(req.Exporter, req.Puller, req.Since, req.Seen)
-		reply.Advs, reply.Version, reply.Fresh = advs, ver, fresh
-		return err
-	})
-}
-
-// PullLSAs RPC.
-func (s *Service) PullLSAs(req PullLSAsRequest, reply *PullLSAsReply) error {
-	return s.do("PullLSAs", req.TC, func() error {
-		lsas, ver, fresh, err := s.api.PullLSAs(req.Exporter, req.Puller, req.Since, req.Seen)
-		reply.LSAs, reply.Version, reply.Fresh = lsas, ver, fresh
-		return err
-	})
-}
-
-// PullBGPBatch RPC.
-func (s *Service) PullBGPBatch(reqs []PullBGPRequest, reply *PullBGPBatchReply) error {
-	var tc TraceContext
-	if len(reqs) > 0 {
-		tc = reqs[0].TC
-	}
-	return s.do("PullBGPBatch", tc, func() error {
-		replies, err := s.api.PullBGPBatch(reqs)
-		reply.Replies = replies
-		return err
-	})
-}
-
-// PullLSABatch RPC.
-func (s *Service) PullLSABatch(reqs []PullLSAsRequest, reply *PullLSABatchReply) error {
-	var tc TraceContext
-	if len(reqs) > 0 {
-		tc = reqs[0].TC
-	}
-	return s.do("PullLSABatch", tc, func() error {
-		replies, err := s.api.PullLSABatch(reqs)
-		reply.Replies = replies
 		return err
 	})
 }
@@ -720,11 +662,6 @@ func (s *Service) ComputeDP(args CallMeta, reply *ComputeDPReply) error {
 	})
 }
 
-// BeginQuery RPC.
-func (s *Service) BeginQuery(req QueryRequest, _ *Empty) error {
-	return s.do("BeginQuery", req.TC, func() error { return s.api.BeginQuery(req) })
-}
-
 // BeginQueryBatch RPC.
 func (s *Service) BeginQueryBatch(req QueryBatchRequest, _ *Empty) error {
 	return s.do("BeginQueryBatch", req.TC, func() error { return s.api.BeginQueryBatch(req) })
@@ -749,11 +686,6 @@ func (s *Service) HasWork(args CallMeta, reply *HasWorkReply) error {
 	})
 }
 
-// DeliverPackets RPC.
-func (s *Service) DeliverPackets(items []PacketDelivery, _ *Empty) error {
-	return s.do("DeliverPackets", TraceContext{}, func() error { return s.api.DeliverPackets(items) })
-}
-
 // DeliverBatch RPC.
 func (s *Service) DeliverBatch(req DeliverBatchRequest, reply *DeliverBatchReply) error {
 	return s.do("DeliverBatch", req.TC, func() error {
@@ -764,11 +696,10 @@ func (s *Service) DeliverBatch(req DeliverBatchRequest, reply *DeliverBatchReply
 }
 
 // FinishQuery RPC.
-func (s *Service) FinishQuery(args CallMeta, reply *OutcomesReply) error {
+func (s *Service) FinishQuery(args CallMeta, reply *OutcomeBatch) error {
 	return s.do("FinishQuery", args.TC, func() error {
 		batch, err := s.api.FinishQuery()
-		reply.Wire = batch.Wire
-		reply.Outcomes = batch.Outcomes
+		*reply = batch
 		return err
 	})
 }
@@ -996,8 +927,8 @@ func Serve(api WorkerAPI, lis net.Listener) error {
 // this indirection keeps sidecar free of a dependency on the fault package.
 type CallWrapper func(method string, idempotent bool, call func() error) error
 
-// RemoteWorker is the client side: a WorkerAPI (and sim.PullPeer) that
-// relays every call over RPC, optionally through a CallWrapper.
+// RemoteWorker is the client side: a WorkerAPI that relays every call over
+// RPC, optionally through a CallWrapper.
 type RemoteWorker struct {
 	addr    string
 	c       *rpc.Client
@@ -1094,13 +1025,13 @@ func rcall[R any](r *RemoteWorker, method string, idempotent bool, args any) (R,
 }
 
 // Idempotency of each RPC, which gates retries. Phase mutations (Gather*/
-// Apply*/EndShard/Inject/DPRound/DeliverPackets/FinishQuery) are NOT safe
+// Apply*/EndShard/Inject/DPRound/DeliverBatch/FinishQuery) are NOT safe
 // to retry — a timed-out attempt may still have executed remotely, and
 // running one twice breaks the round barrier; recovery for those is
-// re-execution from a clean re-Setup. Setup/BeginShard/BeginQuery fully
-// reset the state they establish, and the rest are reads — including the
-// Pull* family (plain and batch): serving a pull never mutates exporter
-// state, so a duplicate delivery of a timed-out pull is harmless.
+// re-execution from a clean re-Setup. Setup/BeginShard/BeginQueryBatch
+// fully reset the state they establish, and the rest are reads —
+// including the batch pulls: serving a pull never mutates exporter state,
+// so a duplicate delivery of a timed-out pull is harmless.
 
 // Ping implements WorkerAPI.
 func (r *RemoteWorker) Ping() error {
@@ -1108,11 +1039,12 @@ func (r *RemoteWorker) Ping() error {
 	return err
 }
 
-// Setup implements WorkerAPI.
+// Setup implements WorkerAPI. A protocol mismatch comes back as a typed
+// *ProtocolError; it is not transient, so the fault layer never retries it.
 func (r *RemoteWorker) Setup(req SetupRequest) error {
 	req.TC = r.takeTC()
 	_, err := rcall[Empty](r, "Setup", true, req)
-	return err
+	return asProtocolError(err)
 }
 
 // BeginShard implements WorkerAPI.
@@ -1149,41 +1081,9 @@ func (r *RemoteWorker) EndShard() (EndShardReply, error) {
 	return rcall[EndShardReply](r, "EndShard", false, CallMeta{TC: r.takeTC()})
 }
 
-// PullBGP implements WorkerAPI and sim.PullPeer.
-func (r *RemoteWorker) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	reply, err := rcall[PullBGPReply](r, "PullBGP", true,
-		PullBGPRequest{Exporter: exporter, Puller: puller, Since: since, Seen: seen, TC: r.takeTC()})
-	return reply.Advs, reply.Version, reply.Fresh, err
-}
-
-// PullLSAs implements WorkerAPI and sim.PullPeer.
-func (r *RemoteWorker) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	reply, err := rcall[PullLSAsReply](r, "PullLSAs", true,
-		PullLSAsRequest{Exporter: exporter, Puller: puller, Since: since, Seen: seen, TC: r.takeTC()})
-	return reply.LSAs, reply.Version, reply.Fresh, err
-}
-
-// PullBGPBatch implements WorkerAPI. The trace context rides on the first
-// request of the batch (the wire shape — a bare slice — predates TC).
-func (r *RemoteWorker) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error) {
-	if len(reqs) > 0 {
-		reqs[0].TC = r.takeTC()
-	}
-	reply, err := rcall[PullBGPBatchReply](r, "PullBGPBatch", true, reqs)
-	return reply.Replies, err
-}
-
-// PullLSABatch implements WorkerAPI.
-func (r *RemoteWorker) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
-	if len(reqs) > 0 {
-		reqs[0].TC = r.takeTC()
-	}
-	reply, err := rcall[PullLSABatchReply](r, "PullLSABatch", true, reqs)
-	return reply.Replies, err
-}
-
 // PullBGPBatchWire implements WorkerAPI: the reply set arrives as one
-// varint payload and is decoded client-side.
+// varint payload and is decoded client-side. The trace context rides on
+// the first request of the batch.
 func (r *RemoteWorker) PullBGPBatchWire(reqs []PullBGPRequest) ([]PullBGPReply, error) {
 	if len(reqs) > 0 {
 		reqs[0].TC = r.takeTC()
@@ -1219,13 +1119,6 @@ func (r *RemoteWorker) ComputeDP() (ComputeDPReply, error) {
 	return rcall[ComputeDPReply](r, "ComputeDP", true, CallMeta{TC: r.takeTC()})
 }
 
-// BeginQuery implements WorkerAPI.
-func (r *RemoteWorker) BeginQuery(req QueryRequest) error {
-	req.TC = r.takeTC()
-	_, err := rcall[Empty](r, "BeginQuery", true, req)
-	return err
-}
-
 // BeginQueryBatch implements WorkerAPI.
 func (r *RemoteWorker) BeginQueryBatch(req QueryBatchRequest) error {
 	req.TC = r.takeTC()
@@ -1252,12 +1145,6 @@ func (r *RemoteWorker) HasWork() (bool, error) {
 	return reply.Busy, err
 }
 
-// DeliverPackets implements WorkerAPI.
-func (r *RemoteWorker) DeliverPackets(items []PacketDelivery) error {
-	_, err := rcall[Empty](r, "DeliverPackets", false, items)
-	return err
-}
-
 // DeliverBatch implements WorkerAPI. Not idempotent: a retried delivery
 // would double-apply the substrate splice and the packet merges.
 func (r *RemoteWorker) DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply, error) {
@@ -1267,8 +1154,7 @@ func (r *RemoteWorker) DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply,
 
 // FinishQuery implements WorkerAPI.
 func (r *RemoteWorker) FinishQuery() (OutcomeBatch, error) {
-	reply, err := rcall[OutcomesReply](r, "FinishQuery", false, CallMeta{TC: r.takeTC()})
-	return OutcomeBatch{Wire: reply.Wire, Outcomes: reply.Outcomes}, err
+	return rcall[OutcomeBatch](r, "FinishQuery", false, CallMeta{TC: r.takeTC()})
 }
 
 // CollectRIBs implements WorkerAPI.
@@ -1309,7 +1195,7 @@ func (r *RemoteWorker) PullProfile(req PullProfileRequest) (PullProfileReply, er
 func PhaseClass(method string) bool {
 	switch method {
 	case "Setup", "BeginShard", "GatherBGP", "ApplyBGP", "GatherOSPF",
-		"ApplyOSPF", "EndShard", "ComputeDP", "BeginQuery", "BeginQueryBatch",
+		"ApplyOSPF", "EndShard", "ComputeDP", "BeginQueryBatch",
 		"Inject", "DPRound", "FinishQuery", "ApplyDelta":
 		return true
 	}
@@ -1421,50 +1307,6 @@ func (o *observed) EndShard() (EndShardReply, error) {
 	return reply, err
 }
 
-func (o *observed) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	var advs []bgp.Advertisement
-	var ver uint64
-	var fresh bool
-	err := o.obs("PullBGP", func() error {
-		var err error
-		advs, ver, fresh, err = o.api.PullBGP(exporter, puller, since, seen)
-		return err
-	})
-	return advs, ver, fresh, err
-}
-
-func (o *observed) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	var lsas []*ospf.LSA
-	var ver uint64
-	var fresh bool
-	err := o.obs("PullLSAs", func() error {
-		var err error
-		lsas, ver, fresh, err = o.api.PullLSAs(exporter, puller, since, seen)
-		return err
-	})
-	return lsas, ver, fresh, err
-}
-
-func (o *observed) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error) {
-	var replies []PullBGPReply
-	err := o.obs("PullBGPBatch", func() error {
-		var err error
-		replies, err = o.api.PullBGPBatch(reqs)
-		return err
-	})
-	return replies, err
-}
-
-func (o *observed) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
-	var replies []PullLSAsReply
-	err := o.obs("PullLSABatch", func() error {
-		var err error
-		replies, err = o.api.PullLSABatch(reqs)
-		return err
-	})
-	return replies, err
-}
-
 func (o *observed) PullBGPBatchWire(reqs []PullBGPRequest) ([]PullBGPReply, error) {
 	var replies []PullBGPReply
 	err := o.obs("PullBGPBatchWire", func() error {
@@ -1505,10 +1347,6 @@ func (o *observed) ComputeDP() (ComputeDPReply, error) {
 	return reply, err
 }
 
-func (o *observed) BeginQuery(req QueryRequest) error {
-	return o.obs("BeginQuery", func() error { return o.api.BeginQuery(req) })
-}
-
 func (o *observed) BeginQueryBatch(req QueryBatchRequest) error {
 	return o.obs("BeginQueryBatch", func() error { return o.api.BeginQueryBatch(req) })
 }
@@ -1529,10 +1367,6 @@ func (o *observed) HasWork() (bool, error) {
 		return err
 	})
 	return busy, err
-}
-
-func (o *observed) DeliverPackets(items []PacketDelivery) error {
-	return o.obs("DeliverPackets", func() error { return o.api.DeliverPackets(items) })
 }
 
 func (o *observed) DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply, error) {

@@ -23,7 +23,7 @@ import (
 // are the probe-class pulls (they observe the straggler, not cause it).
 var slowWorkerMethods = []string{
 	"BeginShard", "GatherBGP", "ApplyBGP", "GatherOSPF", "ApplyOSPF",
-	"EndShard", "ComputeDP", "BeginQuery", "BeginQueryBatch", "DPRound",
+	"EndShard", "ComputeDP", "BeginQueryBatch", "DPRound",
 	"FinishQuery",
 }
 
@@ -105,14 +105,6 @@ type Options struct {
 	// Parallelism bounds each worker's goroutine pool for the per-node
 	// simulation loops (0 = all CPUs, 1 = sequential; cmd/s2 -procs).
 	Parallelism int
-	// DisableBatchPulls reverts cross-worker route pulls to one RPC per
-	// (node, neighbor) pair instead of one batched RPC per peer worker.
-	DisableBatchPulls bool
-	// DisableWireDedup reverts boundary-crossing packets and outcome
-	// harvests to one independently serialized BDD per packet instead of
-	// the shared-substrate wire codec with per-peer node dedup
-	// (cmd/s2 -no-wire-dedup).
-	DisableWireDedup bool
 	// DisableQuerySlicing makes every query pass involve every worker
 	// instead of only the workers the query's sources can possibly reach
 	// within the hop budget (cmd/s2serve -no-query-slicing).
@@ -253,8 +245,6 @@ func NewVerifier(n *Network, opts Options) (*Verifier, error) {
 		LoadOf:       opts.LoadEstimator,
 
 		Parallelism:         opts.Parallelism,
-		DisableBatchPulls:   opts.DisableBatchPulls,
-		DisableWireDedup:    opts.DisableWireDedup,
 		DisableQuerySlicing: opts.DisableQuerySlicing,
 		DisableQueryCache:   opts.DisableQueryCache,
 		GCStress:            opts.GCStress,
